@@ -63,7 +63,6 @@ type bench struct {
 	reps         int
 	httpClients  int
 	httpRequests int
-	par          int
 	jsonOut      bool
 	ds           map[int]*workload.Dataset
 	views        map[int]*fops.FRel
@@ -145,13 +144,12 @@ func (b *bench) flushJSON(exp string) {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fdbbench: ")
-	exp := flag.String("exp", "all", "experiment: size|fig4|fig5|fig6|fig7|fig8|ablation|http|stream|parallel|coldstart|offset|scale|ingest|scatter|all")
+	exp := flag.String("exp", "all", "experiment: size|fig4|fig5|fig6|fig7|fig8|ablation|http|stream|coldstart|offset|scale|ingest|scatter|all")
 	scale := flag.Int("scale", 4, "scale factor for single-scale experiments")
 	scaleMax := flag.Int("scalemax", 8, "maximum scale for the scale sweeps (size, fig4)")
 	reps := flag.Int("reps", 3, "repetitions per measurement (median reported)")
 	httpClients := flag.Int("httpclients", 8, "maximum client concurrency for the http experiment")
 	httpRequests := flag.Int("httprequests", 800, "requests per concurrency level for the http experiment")
-	par := flag.Int("par", 8, "maximum intra-query parallelism for the parallel experiment")
 	jsonOut := flag.Bool("json", false, "also write machine-readable BENCH_<exp>.json per experiment (ns/op, allocs/op, qps, p50/p99)")
 	flag.Parse()
 
@@ -161,7 +159,6 @@ func main() {
 		reps:         *reps,
 		httpClients:  *httpClients,
 		httpRequests: *httpRequests,
-		par:          *par,
 		jsonOut:      *jsonOut,
 		ds:           map[int]*workload.Dataset{},
 		views:        map[int]*fops.FRel{},
@@ -171,8 +168,8 @@ func main() {
 		"size": b.expSize, "fig4": b.expFig4, "fig5": b.expFig5,
 		"fig6": b.expFig6, "fig7": b.expFig7, "fig8": b.expFig8,
 		"ablation": b.expAblation, "http": b.expHTTP, "stream": b.expStream,
-		"parallel": b.expParallel, "coldstart": b.expColdstart,
-		"offset": b.expOffset, "scale": b.expScale, "ingest": b.expIngest,
+		"coldstart": b.expColdstart,
+		"offset":    b.expOffset, "scale": b.expScale, "ingest": b.expIngest,
 		"scatter": b.expScatter,
 	}
 	doOne := func(name string, fn func()) {
@@ -180,7 +177,7 @@ func main() {
 		b.flushJSON(name)
 	}
 	if *exp == "all" {
-		for _, name := range []string{"size", "fig4", "fig5", "fig6", "fig7", "fig8", "ablation", "http", "stream", "parallel", "coldstart", "offset", "scale", "ingest"} {
+		for _, name := range []string{"size", "fig4", "fig5", "fig6", "fig7", "fig8", "ablation", "http", "stream", "coldstart", "offset", "scale", "ingest"} {
 			doOne(name, run[name])
 		}
 		return

@@ -201,7 +201,6 @@ func main() {
 	workers := flag.Int("workers", 0, "max concurrently executing queries (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 256, "plan cache entries per database")
 	maxRows := flag.Int("maxrows", 0, "max rows returned per query (0 = unlimited)")
-	parallelism := flag.Int("parallelism", 0, "intra-query parallelism per executing query (0 = GOMAXPROCS, 1 = serial)")
 	useMmap := flag.Bool("mmap", false, "memory-map catalogue snapshots instead of reading them (zero-copy boot)")
 	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "max time to wait for in-flight queries on shutdown")
 	flag.Parse()
@@ -275,15 +274,14 @@ func main() {
 		defaultDB = mutable.names[0]
 	}
 	srv, err := server.New(server.Config{
-		Databases:   dbs,
-		DefaultDB:   defaultDB,
-		Workers:     *workers,
-		CacheSize:   *cacheSize,
-		MaxRows:     *maxRows,
-		Parallelism: *parallelism,
-		Snapshots:   snapshots,
-		Mutables:    mutables,
-		ShardDir:    *shardDir,
+		Databases: dbs,
+		DefaultDB: defaultDB,
+		Workers:   *workers,
+		CacheSize: *cacheSize,
+		MaxRows:   *maxRows,
+		Snapshots: snapshots,
+		Mutables:  mutables,
+		ShardDir:  *shardDir,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -173,16 +173,6 @@ type PreparedQuery = engine.Prepared
 // plan-cache key.
 var NormalizeSQL = sql.Normalize
 
-// ParStats are the cumulative intra-query parallelism counters: queries
-// executed with a parallelism budget above 1 and segment workers
-// spawned per layer (enumeration cursors, f-plan operators, aggregate
-// evaluations), plus pooled-store returns. See Engine.Parallelism.
-type ParStats = engine.ParStats
-
-// ParallelStats returns the process-wide intra-query parallelism
-// counters (fdbserver surfaces them at /stats).
-var ParallelStats = engine.ParallelStats
-
 // OffsetStats are the cumulative OFFSET routing counters: how many
 // OFFSET clauses were applied by ranked direct Seek (O(depth × log
 // fanout) via the subtree-count index) versus the linear skip loop.

@@ -9,6 +9,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -120,6 +122,13 @@ func TestCancelDuringExec(t *testing.T) {
 // store return across Close (called twice).
 func cancelMidStream(t *testing.T, name string, run func(ctx context.Context) (*Result, error)) {
 	t.Helper()
+	cancelMidStreamAt(t, name, run, nil)
+}
+
+// cancelMidStreamAt is cancelMidStream with a hook called while the
+// stream is open, after the first rows and before the cancel.
+func cancelMidStreamAt(t *testing.T, name string, run func(ctx context.Context) (*Result, error), mid func()) {
+	t.Helper()
 	before := storeReturns.Load()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -135,6 +144,9 @@ func cancelMidStream(t *testing.T, name string, run func(ctx context.Context) (*
 		if !rows.Next() {
 			t.Fatalf("%s: stream ended after %d rows", name, i)
 		}
+	}
+	if mid != nil {
+		mid()
 	}
 	cancel()
 	n := 0
@@ -173,6 +185,37 @@ func TestCancelMidEnumeration(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cancelMidStream(t, c.name, func(ctx context.Context) (*Result, error) {
 				return eng.RunContext(ctx, c.mk(), db)
+			})
+		})
+	}
+}
+
+// TestParallelCancelMidMerge repeats TestCancelMidEnumeration with
+// several cores available, on the ordered paths that once merged
+// per-segment streams: the query must run on the caller's goroutine
+// (no goroutine is started while the stream is open), stop with
+// context.Canceled and return its pooled store exactly once.
+func TestParallelCancelMidMerge(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	db := bigDB(t, 20000)
+	eng := New()
+	cases := []struct {
+		name string
+		mk   func() *query.Query
+	}{
+		{"flat-ordered", spjQuery},
+		{"grouped", groupedQuery},
+		{"agg-ordered", aggOrderedQuery},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			cancelMidStreamAt(t, c.name, func(ctx context.Context) (*Result, error) {
+				return eng.RunContext(ctx, c.mk(), db)
+			}, func() {
+				if n := runtime.NumGoroutine(); n > before {
+					t.Errorf("%s: %d goroutines with the stream open, %d before the query", c.name, n, before)
+				}
 			})
 		})
 	}
@@ -272,6 +315,53 @@ func TestCancelConcurrent(t *testing.T) {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestConcurrentExecSharedReturnsStores runs one prepared query from
+// many goroutines against one shared snapshot (the server's shape),
+// under -race: every execution must hand its pooled store back exactly
+// once.
+func TestConcurrentExecSharedReturnsStores(t *testing.T) {
+	db := bigDB(t, 8000)
+	prep, err := New().Prepare(groupedQuery(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := storeReturns.Load()
+	const workers, reps = 4, 5
+	var wg sync.WaitGroup
+	errc := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < reps; i++ {
+				res, err := prep.ExecShared(db)
+				if err != nil {
+					errc <- err
+					return
+				}
+				n, err := res.Count()
+				res.Close()
+				if err != nil {
+					errc <- err
+					return
+				}
+				if n != 8000 {
+					errc <- fmt.Errorf("got %d groups, want 8000", n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if d := storeReturns.Load() - before; d != workers*reps {
+		t.Fatalf("store returned %d times for %d executions", d, workers*reps)
 	}
 }
 

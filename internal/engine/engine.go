@@ -8,7 +8,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"github.com/factordb/fdb/internal/fops"
@@ -40,28 +39,6 @@ type Engine struct {
 	// as an escape hatch during the transition; the arena is the
 	// default.
 	Legacy bool
-	// Parallelism bounds the intra-query parallelism: f-plan operators
-	// fan their occurrence loops over contiguous segments of root
-	// unions, aggregate evaluations merge per-segment partial results,
-	// and the enumeration cursors drain per-segment workers in root
-	// order — so results are identical to serial execution at any
-	// setting. 0 means GOMAXPROCS; 1 disables intra-query parallelism
-	// (the pre-parallel behaviour); values apply only to arena
-	// execution (Legacy stays serial). Small inputs execute serially
-	// regardless (see frep.MinParallelEvalValues and friends).
-	Parallelism int
-}
-
-// par resolves the engine's effective intra-query parallelism.
-func (e *Engine) par() int {
-	p := e.Parallelism
-	if p == 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
 }
 
 // New returns an engine with the paper's default configuration.
@@ -93,23 +70,10 @@ type Result struct {
 	// be recycled into another query, so enumeration APIs refuse with
 	// ErrClosed instead of touching freed slabs.
 	closed bool
-	// closers tracks open parallel cursors; Close joins their segment
-	// workers before recycling the store.
-	closers []rowCloser
 	// fastCount, when set, is the precomputed answer of a bare COUNT(*)
 	// query taken from the ranked root counts; enumeration yields this
 	// single row and the aggregation plan was never executed.
 	fastCount *int64
-}
-
-// dropCloser forgets a parallel cursor that has been closed.
-func (r *Result) dropCloser(c rowCloser) {
-	for i, x := range r.closers {
-		if x == c {
-			r.closers = append(r.closers[:i], r.closers[i+1:]...)
-			return
-		}
-	}
 }
 
 // rel returns the factorised result behind its representation-neutral
@@ -150,12 +114,6 @@ func (r *Result) Close() {
 		return
 	}
 	r.closed = true
-	// Join any parallel cursor workers first: they read the store, which
-	// must not be recycled under them.
-	for _, c := range r.closers {
-		c.close()
-	}
-	r.closers = nil
 	if r.pooled && r.ARel != nil {
 		st := r.ARel.Store
 		r.ARel = nil
@@ -347,14 +305,13 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, fr fops.Rel, cat [
 			return &Result{Query: q, ARel: ar, Plan: fplan, eng: e, fastCount: &n}, nil
 		}
 	}
-	if err := fplan.ExecuteParallel(ctx, fr, e.par()); err != nil {
+	if err := fplan.ExecuteContext(ctx, fr); err != nil {
 		return nil, err
 	}
 	res := &Result{Query: q, Plan: fplan, eng: e}
 	switch v := fr.(type) {
 	case *fops.ARel:
 		res.ARel = v
-		noteParallelExec(v)
 	case *fops.FRel:
 		res.FRel = v
 	}

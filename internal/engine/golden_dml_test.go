@@ -2,7 +2,7 @@ package engine
 
 // Golden DML suite: after an interleaving of INSERT/DELETE/UPSERT
 // against the workload dataset, every query family — flat Q1–Q5 across
-// Run/ExecShared, serial and parallel, and the view queries Q1–Q13 over
+// Run/ExecShared, arena and legacy, and the view queries Q1–Q13 over
 // factorisations built from the mutated relations — must produce results
 // identical to a from-scratch rebuild of the same data.
 
@@ -137,18 +137,6 @@ func TestGoldenDMLInterleaving(t *testing.T) {
 			"legacy": func() (*Result, error) {
 				q, _ := workload.FlatAggQuery(i)
 				return (&Engine{PartialAgg: true, Legacy: true}).Run(q, view)
-			},
-			"par2": func() (*Result, error) {
-				q, _ := workload.FlatAggQuery(i)
-				e := New()
-				e.Parallelism = 2
-				return e.Run(q, view)
-			},
-			"par8": func() (*Result, error) {
-				q, _ := workload.FlatAggQuery(i)
-				e := New()
-				e.Parallelism = 8
-				return e.Run(q, view)
 			},
 			"execshared": func() (*Result, error) {
 				q, _ := workload.FlatAggQuery(i)

@@ -3,14 +3,17 @@ package engine
 // Kernel golden equivalence: the workload's experimental query set
 // (Q1–Q13 on the views, plus the flat-input AGG variants) runs once with
 // the vectorised kernels on and once with frep.EnableKernels forced off
-// (the scalar path the kernels replaced), at parallelism 1 and 8. The
+// (the scalar path the kernels replaced), at GOMAXPROCS 1 and 8. The
 // outputs must be identical row for row — the kernels' contract is
 // byte-identical results, including float aggregation order and Min/Max
-// tie-breaking — and the kernel legs must demonstrably engage
-// (frep.KernelStats), so a silent fallback cannot pass as equivalence.
+// tie-breaking — and must not depend on the core count, since every
+// query runs serially on its caller's goroutine. The kernel legs must
+// demonstrably engage (frep.KernelStats), so a silent fallback cannot
+// pass as equivalence.
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/factordb/fdb/internal/fops"
@@ -30,19 +33,6 @@ func withKernels(on bool, fn func()) {
 }
 
 func TestGoldenKernelVsScalar(t *testing.T) {
-	// Drop every fan-out floor so P=8 genuinely exercises the parallel
-	// kernel paths (segment workers, overlay stores) at scale 1.
-	oldEvalV, oldEvalW := frep.MinParallelEvalValues, frep.MinParallelEvalWork
-	oldRebV, oldRebW := fops.MinParallelRebuildValues, fops.MinParallelRebuildWork
-	oldEnum, oldGroup, oldFan := MinParallelEnumRows, MinParallelGroupRows, MaxEnumFanout
-	frep.MinParallelEvalValues, frep.MinParallelEvalWork = 1, 1
-	fops.MinParallelRebuildValues, fops.MinParallelRebuildWork = 1, 1
-	MinParallelEnumRows, MinParallelGroupRows, MaxEnumFanout = 1, 1, 64
-	defer func() {
-		frep.MinParallelEvalValues, frep.MinParallelEvalWork = oldEvalV, oldEvalW
-		fops.MinParallelRebuildValues, fops.MinParallelRebuildWork = oldRebV, oldRebW
-		MinParallelEnumRows, MinParallelGroupRows, MaxEnumFanout = oldEnum, oldGroup, oldFan
-	}()
 	frep.KernelStatsEnabled = true
 	defer func() { frep.KernelStatsEnabled = false }()
 
@@ -99,12 +89,14 @@ func TestGoldenKernelVsScalar(t *testing.T) {
 		tc{name: "Q13", mk: func() *query.Query { return workload.Q13(0) }, view: r3a},
 	)
 
+	eng := New()
+	serial := make([]*relation.Relation, len(cases)) // kernel output at P=1
 	for _, par := range []int{1, 8} {
 		par := par
 		t.Run(fmt.Sprintf("P=%d", par), func(t *testing.T) {
-			eng := &Engine{PartialAgg: true, Parallelism: par}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 			frep.ResetKernelStats()
-			for _, c := range cases {
+			for i, c := range cases {
 				run := func() (*Result, error) {
 					if c.view != nil {
 						return eng.RunOnARel(c.mk(), c.view, cat)
@@ -114,7 +106,13 @@ func TestGoldenKernelVsScalar(t *testing.T) {
 				var scalar, kernel *relation.Relation
 				withKernels(false, func() { scalar = collectRows(t, run) })
 				withKernels(true, func() { kernel = collectRows(t, run) })
-				diffOrdered(t, fmt.Sprintf("%s/P=%d", c.name, par), scalar, kernel)
+				name := fmt.Sprintf("%s/P=%d", c.name, par)
+				diffOrdered(t, name, scalar, kernel)
+				if serial[i] == nil {
+					serial[i] = kernel
+				} else {
+					diffOrdered(t, name+" vs P=1", serial[i], kernel)
+				}
 			}
 			st := frep.ReadKernelStats()
 			if st.SelectKernel+st.AggKernel+st.Find+st.Intersect == 0 {

@@ -1,10 +1,9 @@
 package engine
 
-// OFFSET boundary goldens (satellite of the parallel-execution PR): an
-// OFFSET at, or past, the end of the result must yield an empty result
-// with rowCount 0 — not an error and not a stuck cursor — on every
-// enumeration path (flat, grouped, agg-ordered, view) and at every
-// parallelism level, matching the rdb baseline's slice semantics.
+// OFFSET boundary goldens: an OFFSET at, or past, the end of the result
+// must yield an empty result with rowCount 0 — not an error and not a
+// stuck cursor — on every enumeration path (flat, grouped, agg-ordered,
+// view), matching the rdb baseline's slice semantics.
 
 import (
 	"context"
@@ -75,26 +74,25 @@ func TestOffsetPastEndGolden(t *testing.T) {
 			}
 		}},
 	}
-	for _, par := range []int{1, 4} {
-		eng := &Engine{PartialAgg: true, Parallelism: par}
-		for _, c := range cases {
-			offsets := []int{0, c.groups - 1, c.groups, c.groups + 1, c.groups * 10, 1 << 20}
-			for _, off := range offsets {
-				for _, limit := range []int{0, 3} {
-					name := fmt.Sprintf("P=%d/%s/offset=%d/limit=%d", par, c.name, off, limit)
-					want, err := (&rdb.Engine{}).Run(c.mk(off, limit), flat)
-					if err != nil {
-						t.Fatalf("%s: rdb: %v", name, err)
-					}
-					got := collectRows(t, func() (*Result, error) { return eng.Run(c.mk(off, limit), db) })
-					diffOrdered(t, name, want, got)
-					if off >= c.groups && len(got.Tuples) != 0 {
-						t.Fatalf("%s: offset past end yielded %d rows, want 0", name, len(got.Tuples))
-					}
+	eng := New()
+	for _, c := range cases {
+		offsets := []int{0, c.groups - 1, c.groups, c.groups + 1, c.groups * 10, 1 << 20}
+		for _, off := range offsets {
+			for _, limit := range []int{0, 3} {
+				name := fmt.Sprintf("%s/offset=%d/limit=%d", c.name, off, limit)
+				want, err := (&rdb.Engine{}).Run(c.mk(off, limit), flat)
+				if err != nil {
+					t.Fatalf("%s: rdb: %v", name, err)
+				}
+				got := collectRows(t, func() (*Result, error) { return eng.Run(c.mk(off, limit), db) })
+				diffOrdered(t, name, want, got)
+				if off >= c.groups && len(got.Tuples) != 0 {
+					t.Fatalf("%s: offset past end yielded %d rows, want 0", name, len(got.Tuples))
 				}
 			}
 		}
 	}
+
 }
 
 // TestOffsetPastEndCursorNotStuck drives the cursor API directly with

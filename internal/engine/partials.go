@@ -2,10 +2,10 @@ package engine
 
 // Partial-merge entry points for distributed execution. A scatter-gather
 // coordinator (internal/cluster) receives per-shard aggregate rows over
-// the wire and must combine them with exactly the merge algebra the
-// in-process parallel path uses (frep.MergePartials), so that a
-// distributed aggregate is byte-identical to its serial evaluation:
-// counts and sums add (integer sums bit-identically), min and max take
+// the wire and must combine them with the aggregation algebra's own
+// merge (frep.MergePartials), so that a distributed aggregate matches
+// its single-process evaluation: counts and sums add (integer sums
+// bit-identically), min and max take
 // the extremum under the values total order, and avg is reconstructed
 // from shipped sum and count partials with the engine's own finaliser.
 
@@ -43,9 +43,8 @@ func PartialFields(aggs []query.Aggregate) ([]ftree.AggField, error) {
 }
 
 // MergePartialAggRow folds one shard's aggregate outputs src into the
-// running outputs dst, field by field, using the same algebra as the
-// in-process parallel merge: count and sum add, min and max take the
-// extremum. Null is the identity, so dst may start as all Nulls.
+// running outputs dst, field by field (frep.MergePartials): count and
+// sum add, min and max take the extremum. Null is the identity, so dst may start as all Nulls.
 // fields comes from PartialFields; len(dst) == len(src) == len(fields).
 func MergePartialAggRow(fields []ftree.AggField, dst, src []values.Value) {
 	frep.MergePartials(fields, dst, src)

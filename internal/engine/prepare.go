@@ -24,6 +24,11 @@ var storePool = sync.Pool{New: func() any { return frep.NewStore() }}
 // assert that every error path hands its pooled store back exactly once.
 var storeReturns atomic.Int64
 
+// StorePoolReturns returns the cumulative number of pooled arena stores
+// handed back (Result.Close and error paths); tests use it to assert
+// that every execution returns its store exactly once.
+func StorePoolReturns() int64 { return storeReturns.Load() }
+
 func getStore() *frep.Store {
 	s := storePool.Get().(*frep.Store)
 	s.Reset()
@@ -251,8 +256,8 @@ func (p *Prepared) ExecSharedContext(ctx context.Context, db DB) (*Result, error
 			return nil, err
 		}
 		// Rank the shared base once: every execution clones the snapshot,
-		// so ranked OFFSET seeks, COUNT(*) fast paths and weighted
-		// parallel splits come for free on all of them.
+		// so ranked OFFSET seeks and COUNT(*) fast paths come for free on
+		// all of them.
 		if err := bst.BuildRanks(); err != nil {
 			p.shared.mu.Unlock()
 			return nil, err
@@ -290,11 +295,10 @@ func (p *Prepared) finish(ctx context.Context, ar *fops.ARel) (*Result, error) {
 	if n, ok := fastCountValue(p.Query, ar); ok {
 		return &Result{Query: p.Query, ARel: ar, Plan: p.Plan, eng: p.eng, pooled: true, fastCount: &n}, nil
 	}
-	if err := p.Plan.ExecuteParallel(ctx, ar, p.eng.par()); err != nil {
+	if err := p.Plan.ExecuteContext(ctx, ar); err != nil {
 		putStore(ar.Store)
 		return nil, err
 	}
-	noteParallelExec(ar)
 	return &Result{Query: p.Query, ARel: ar, Plan: p.Plan, eng: p.eng, pooled: true}, nil
 }
 

@@ -83,11 +83,6 @@ func (r *Result) Rows(ctx context.Context) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cl, ok := cur.(rowCloser); ok {
-		// Track parallel cursors so Result.Close joins their workers
-		// before the pooled store is recycled.
-		r.closers = append(r.closers, cl)
-	}
 	return &Rows{
 		res:    r,
 		ctx:    ctx,
@@ -105,29 +100,20 @@ func (rs *Rows) Columns() []string { return rs.cols }
 // after a normal end of stream.
 func (rs *Rows) Err() error { return rs.err }
 
-// Close releases the cursor, joining any segment workers a parallel
-// enumeration spawned. It is idempotent and always returns the
+// Close releases the cursor. It is idempotent and always returns the
 // iteration error, if any. Close does not close the underlying Result.
 func (rs *Rows) Close() error {
 	rs.closed = true
 	rs.done = true
 	rs.tuple = nil // Scan after Close must not re-deliver the last row
-	if c, ok := rs.cur.(rowCloser); ok {
-		c.close()
-		rs.res.dropCloser(c)
-	}
 	return rs.err
 }
 
-// fail records err and stops iteration. Segment workers are joined
-// immediately — iteration is over, nothing will drain them.
+// fail records err and stops iteration.
 func (rs *Rows) fail(err error) {
 	rs.err = err
 	rs.done = true
 	rs.tuple = nil
-	if c, ok := rs.cur.(rowCloser); ok {
-		c.close()
-	}
 }
 
 // checkCtx polls the context every ctxCheckEvery advances.
@@ -348,25 +334,19 @@ func (r *Result) newSPJCursor() (rowCursor, error) {
 	for _, o := range r.Query.OrderBy {
 		specs = append(specs, frep.OrderSpec{Attr: o.Attr, Desc: o.Desc})
 	}
-	build := func() (rowCursor, error) {
-		en, err := r.rel().Enumerator(specs)
-		if err != nil {
-			return nil, err
-		}
-		outs := r.Query.OutputAttrs()
-		if len(outs) == 0 {
-			outs = en.Schema()
-		}
-		idx, err := columnIndices(en.Schema(), outs)
-		if err != nil {
-			return nil, err
-		}
-		return &projCursor{en: en, idx: idx, out: make(relation.Tuple, len(idx))}, nil
+	en, err := r.rel().Enumerator(specs)
+	if err != nil {
+		return nil, err
 	}
-	desc := len(specs) > 0 && specs[0].Desc
-	return r.maybeParallelEnum(build, func(c rowCursor) segmentable {
-		return asSegmentable(c.(*projCursor).en)
-	}, desc, MinParallelEnumRows)
+	outs := r.Query.OutputAttrs()
+	if len(outs) == 0 {
+		outs = en.Schema()
+	}
+	idx, err := columnIndices(en.Schema(), outs)
+	if err != nil {
+		return nil, err
+	}
+	return &projCursor{en: en, idx: idx, out: make(relation.Tuple, len(idx))}, nil
 }
 
 // groupCursor streams one output row per group from a grouped
@@ -429,20 +409,9 @@ func skipBySteps(c rowCursor, n int) (int, error) {
 }
 
 // newGroupedCursor builds the on-the-fly grouped aggregation cursor
-// (Example 1, scenario 3), fanning large group universes across segment
-// workers. applyOrder false drops the ORDER BY specs (used by the sort
-// fallback, which re-orders afterwards).
+// (Example 1, scenario 3). applyOrder false drops the ORDER BY specs
+// (used by the sort fallback, which re-orders afterwards).
 func (r *Result) newGroupedCursor(applyOrder bool) (rowCursor, error) {
-	build := func() (rowCursor, error) { return r.buildGroupedCursor(applyOrder) }
-	desc := applyOrder && len(r.Query.OrderBy) > 0 && r.Query.OrderBy[0].Desc
-	return r.maybeParallelEnum(build, func(c rowCursor) segmentable {
-		return asSegmentable(c.(*groupCursor).ge)
-	}, desc, MinParallelGroupRows)
-}
-
-// buildGroupedCursor constructs one (serial) grouped cursor; the
-// parallel wrapper above windows several of them.
-func (r *Result) buildGroupedCursor(applyOrder bool) (*groupCursor, error) {
 	q := r.Query
 	fields := plan.RequiredFields(q.Aggregates)
 	// Group slots: order-by attributes first (all within GroupBy on this
@@ -473,14 +442,6 @@ func (r *Result) buildGroupedCursor(applyOrder bool) (*groupCursor, error) {
 	ge, err := r.rel().GroupEnumerator(specs, fields)
 	if err != nil {
 		return nil, err
-	}
-	if sge, ok := ge.(*frep.StoreGroupEnumerator); ok {
-		// Global aggregates (no group loops) evaluate each part once
-		// over a whole root subtree; parallelism lives inside that
-		// evaluation rather than in windowing the (absent) group loop.
-		if par := r.parallelism(); par > 1 {
-			sge.SetParallelEval(par)
-		}
 	}
 	schema := ge.Schema()
 	nGroupCols := len(schema) - len(fields)

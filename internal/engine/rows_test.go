@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/factordb/fdb/internal/query"
@@ -262,6 +263,76 @@ func TestResultClosedGuards(t *testing.T) {
 	}
 	if _, err := res.Count(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Count after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestParallelResultCloseJoinsWorkers closes the Result while a Rows
+// over a large ordered query is still open, with several cores
+// available: the query must have started no goroutine that could still
+// read the store, the open Rows must refuse with ErrClosed, and the
+// store must be returned exactly once.
+func TestParallelResultCloseJoinsWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	db := bigDB(t, 20000)
+	prep, err := New().Prepare(spjQuery(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutines := runtime.NumGoroutine()
+	before := storeReturns.Load()
+	res, err := prep.Exec(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := res.Rows(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if !rows.Next() {
+			t.Fatalf("stream ended after %d rows", i)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines with the stream open, %d before the query", n, goroutines)
+	}
+	res.Close() // the store recycles now
+	if rows.Next() {
+		t.Fatal("Next succeeded on a closed Result")
+	}
+	if !errors.Is(rows.Err(), ErrClosed) {
+		t.Fatalf("rows.Err() = %v, want ErrClosed", rows.Err())
+	}
+	rows.Close()
+	if d := storeReturns.Load() - before; d != 1 {
+		t.Fatalf("store returned %d times, want exactly 1", d)
+	}
+}
+
+// TestEarlyStopReturnsStore stops a ForEach stream early (the
+// LIMIT-style exit): the pooled store must still be returned exactly
+// once by Close.
+func TestEarlyStopReturnsStore(t *testing.T) {
+	db := bigDB(t, 20000)
+	before := storeReturns.Load()
+	res, err := New().Run(spjQuery(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	err = res.ForEach(func(relation.Tuple) bool {
+		n++
+		return n < 10
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 10 {
+		t.Fatalf("ForEach delivered %d rows after stopping at 10", n)
+	}
+	res.Close()
+	if d := storeReturns.Load() - before; d != 1 {
+		t.Fatalf("store returned %d times, want exactly 1", d)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"github.com/factordb/fdb/internal/fops"
-	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/query"
 )
 
@@ -144,9 +143,6 @@ func (r *Result) TotalCount() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if cl, ok := cur.(rowCloser); ok {
-		defer cl.close()
-	}
 	if tt, ok := cur.(rowTotaler); ok {
 		if n, ok := tt.totalRows(); ok {
 			return n, nil
@@ -200,17 +196,4 @@ func fastCountValue(q *query.Query, ar *fops.ARel) (int64, bool) {
 		return 0, false
 	}
 	return int64(total), true
-}
-
-// segmentsFor returns the Restrict windows for fanning an enumeration
-// out: count-balanced via the ranked index when the enumerator offers
-// it (so a hot outer value no longer serialises the merge behind one
-// worker), uniform otherwise.
-func segmentsFor(se segmentable, n, par int) [][2]int {
-	if ws, ok := se.(interface{ WeightedSegments(p int) [][2]int }); ok {
-		if segs := ws.WeightedSegments(par); segs != nil {
-			return segs
-		}
-	}
-	return frep.Segments(n, par)
 }

@@ -4,9 +4,9 @@ package engine
 // query (Q1–Q13 over the materialised views, flat Q1–Q5 over the base
 // relations) runs with OFFSET at the boundaries the issue pins — 0, 1,
 // deep inside the stream, and past the end — and the output must be
-// byte-identical between the linear-skip path (unranked store, serial)
-// and the ranked-seek path at every parallelism level, on Run/RunOnARel
-// and on the shared-snapshot execution path. Bare COUNT(*) answered
+// byte-identical between the linear-skip path (unranked store) and the
+// ranked-seek path, on Run/RunOnARel and on the shared-snapshot
+// execution path. Bare COUNT(*) answered
 // from the ranked index must match the enumerated count on every
 // workload relation, and TotalCount must equal the pre-OFFSET stream
 // length.
@@ -86,23 +86,16 @@ func TestGoldenRankedSeekViewQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force parallel fan-out at this scale so P > 1 really exercises the
-	// segmented merge.
-	oldEnum, oldFan := MinParallelEnumRows, MaxEnumFanout
-	MinParallelEnumRows = 16
-	MaxEnumFanout = 64
-	defer func() { MinParallelEnumRows, MaxEnumFanout = oldEnum, oldFan }()
-
 	cases := rankedViewCases(t, r1a, r3a)
 	const limit = 7
 
-	serial := &Engine{PartialAgg: true, Parallelism: 1}
+	eng := New()
 	baseline := map[string]*relation.Relation{}
 	for _, c := range cases {
 		for _, off := range seekOffsetsUnderTest {
 			c, off := c, off
 			baseline[fmt.Sprintf("%s/offset=%d", c.name, off)] = collectRows(t, func() (*Result, error) {
-				return serial.RunOnARel(c.mk(off, limit), c.aview, cat)
+				return eng.RunOnARel(c.mk(off, limit), c.aview, cat)
 			})
 		}
 	}
@@ -113,58 +106,49 @@ func TestGoldenRankedSeekViewQueries(t *testing.T) {
 	if err := r3a.Store.BuildRanks(); err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 2, 8} {
-		eng := &Engine{PartialAgg: true, Parallelism: par}
-		for _, c := range cases {
-			for _, off := range seekOffsetsUnderTest {
-				c, off := c, off
-				name := fmt.Sprintf("P=%d/%s/offset=%d", par, c.name, off)
-				got := collectRows(t, func() (*Result, error) {
-					return eng.RunOnARel(c.mk(off, limit), c.aview, cat)
-				})
-				diffOrdered(t, name, baseline[fmt.Sprintf("%s/offset=%d", c.name, off)], got)
-			}
+	for _, c := range cases {
+		for _, off := range seekOffsetsUnderTest {
+			c, off := c, off
+			name := fmt.Sprintf("%s/offset=%d", c.name, off)
+			got := collectRows(t, func() (*Result, error) {
+				return eng.RunOnARel(c.mk(off, limit), c.aview, cat)
+			})
+			diffOrdered(t, name, baseline[name], got)
 		}
 	}
 }
 
 // TestGoldenRankedSeekFlatQueries: flat Q1–Q5 (joins included) with
 // OFFSET boundaries, comparing plain Exec (unranked pooled build, linear
-// skip) against ExecShared (ranked shared snapshot, seek route) at
-// P ∈ {1, 2, 8}.
+// skip) against ExecShared (ranked shared snapshot, seek route).
 func TestGoldenRankedSeekFlatQueries(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 1})
 	db := DB(ds.DB())
-	oldEnum, oldFan := MinParallelEnumRows, MaxEnumFanout
-	MinParallelEnumRows = 16
-	MaxEnumFanout = 64
-	defer func() { MinParallelEnumRows, MaxEnumFanout = oldEnum, oldFan }()
-	for _, par := range []int{1, 2, 8} {
-		eng := &Engine{PartialAgg: true, Parallelism: par}
-		for i := 1; i <= 5; i++ {
-			for _, off := range seekOffsetsUnderTest {
-				q1, err := workload.FlatAggQuery(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				q1.Offset, q1.Limit = off, 7
-				q2, _ := workload.FlatAggQuery(i)
-				q2.Offset, q2.Limit = off, 7
-				prep, err := eng.Prepare(q1, db)
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := fmt.Sprintf("P=%d/flat-Q%d/offset=%d", par, i, off)
-				base := collectRows(t, func() (*Result, error) { return prep.Exec(db) })
-				prep2, err := eng.Prepare(q2, db)
-				if err != nil {
-					t.Fatal(err)
-				}
-				shared := collectRows(t, func() (*Result, error) { return prep2.ExecShared(db) })
-				diffOrdered(t, name, base, shared)
+	eng := New()
+	for i := 1; i <= 5; i++ {
+		for _, off := range seekOffsetsUnderTest {
+			q1, err := workload.FlatAggQuery(i)
+			if err != nil {
+				t.Fatal(err)
 			}
+			q1.Offset, q1.Limit = off, 7
+			q2, _ := workload.FlatAggQuery(i)
+			q2.Offset, q2.Limit = off, 7
+			prep, err := eng.Prepare(q1, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("flat-Q%d/offset=%d", i, off)
+			base := collectRows(t, func() (*Result, error) { return prep.Exec(db) })
+			prep2, err := eng.Prepare(q2, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared := collectRows(t, func() (*Result, error) { return prep2.ExecShared(db) })
+			diffOrdered(t, name, base, shared)
 		}
 	}
+
 }
 
 // TestGoldenCountStarViaRanks: a bare COUNT(*) on the ranked

@@ -57,12 +57,11 @@ type ARel struct {
 	Tree  *ftree.Forest
 	Store *frep.Store
 	Roots []frep.NodeID
-	// Par is the intra-operator parallelism hint: operators whose
-	// occurrence loop runs below a root union of at least
-	// MinParallelRebuildValues values fan it across up to Par workers
-	// (per-worker overlay arenas, merged back in segment order). 0 or 1
-	// executes serially. Par is advisory — results are identical either
-	// way.
+	// Par is ignored: every operator runs serially on its caller's
+	// goroutine. It remains only so that existing callers that set it
+	// keep compiling.
+	//
+	// Deprecated: has no effect.
 	Par int
 }
 
@@ -111,7 +110,7 @@ func (ar *ARel) Forest() *ftree.Forest { return ar.Tree }
 // correspond to the original's via the second return value.
 func (ar *ARel) Clone() (*ARel, map[*ftree.Node]*ftree.Node) {
 	t, corr := ar.Tree.Clone()
-	return &ARel{Tree: t, Store: ar.Store.Clone(), Roots: append([]frep.NodeID{}, ar.Roots...), Par: ar.Par}, corr
+	return &ARel{Tree: t, Store: ar.Store.Clone(), Roots: append([]frep.NodeID{}, ar.Roots...)}, corr
 }
 
 // Snapshot returns an O(1) immutable view sharing the store's slabs:
@@ -120,7 +119,7 @@ func (ar *ARel) Clone() (*ARel, map[*ftree.Node]*ftree.Node) {
 // materialised base representation across concurrent queries.
 func (ar *ARel) Snapshot() *ARel {
 	t, _ := ar.Tree.Clone()
-	return &ARel{Tree: t, Store: ar.Store.Snapshot(), Roots: append([]frep.NodeID{}, ar.Roots...), Par: ar.Par}
+	return &ARel{Tree: t, Store: ar.Store.Snapshot(), Roots: append([]frep.NodeID{}, ar.Roots...)}
 }
 
 // IsEmpty reports whether the represented relation is empty (some root
@@ -171,33 +170,14 @@ func (ar *ARel) GroupEnumerator(g []frep.OrderSpec, fields []ftree.AggField) (fr
 }
 
 // rebuildFn transforms one occurrence of a target union, returning its
-// replacement (which may be EmptyNode to delete the context). Instances
-// are bound to one store by their factory; see rebuildAt.
+// replacement (which may be EmptyNode to delete the context).
 type rebuildFn func(id frep.NodeID) (frep.NodeID, error)
 
-// rebuildAt applies the transform built by mk to every occurrence of
-// the node identified by (rootIdx, path), pruning values whose
-// transformed subtree became empty. mk is called once per executing
-// store — once for a serial rebuild, once per worker overlay for a
-// parallel one — so a transform instance may hold builder and evaluator
-// scratch bound to its store. When path is non-empty, ar.Par > 1 and
-// the root union is large enough, the occurrence loop fans across
-// segment workers (parallelRebuild); results are identical either way.
-func (ar *ARel) rebuildAt(rootIdx int, path []int, mk func(st *frep.Store) rebuildFn) error {
-	root := ar.Roots[rootIdx]
-	par := len(path) > 0 && ar.Par > 1 && ar.Store.Len(root) >= MinParallelRebuildValues
-	if par {
-		if t, ok := ar.Store.RankTotal(root); ok && t < MinParallelRebuildWork {
-			par = false
-		}
-	}
-	var nr frep.NodeID
-	var err error
-	if par {
-		nr, err = ar.parallelRebuild(root, path, mk)
-	} else {
-		nr, err = rebuildIn(ar.Store, root, path, mk(ar.Store))
-	}
+// rebuildAt applies fn to every occurrence of the node identified by
+// (rootIdx, path), pruning values whose transformed subtree became
+// empty. fn may hold builder and evaluator scratch bound to ar.Store.
+func (ar *ARel) rebuildAt(rootIdx int, path []int, fn rebuildFn) error {
+	nr, err := rebuildIn(ar.Store, ar.Roots[rootIdx], path, fn)
 	if err != nil {
 		return err
 	}
@@ -208,8 +188,8 @@ func (ar *ARel) rebuildAt(rootIdx int, path []int, mk func(st *frep.Store) rebui
 	return nil
 }
 
-// rebuildIn is the serial occurrence recursion of rebuildAt, reading
-// and appending through st (the base store, or one worker's overlay).
+// rebuildIn is the occurrence recursion of rebuildAt, reading and
+// appending through st.
 func rebuildIn(st *frep.Store, id frep.NodeID, path []int, fn rebuildFn) (frep.NodeID, error) {
 	if len(path) == 0 {
 		return fn(id)

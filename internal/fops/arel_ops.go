@@ -4,10 +4,8 @@ package fops
 // pointer-based counterpart in select.go / gamma.go, but reads and
 // writes store slabs: new nodes are appended, untouched subtrees are
 // referenced by id, and no per-node heap objects are created. Operators
-// express their per-occurrence transform as a rebuildFn factory so the
-// occurrence loop can fan across segment workers (arel_parallel.go):
-// the factory runs once per executing store and binds that instance's
-// builder and evaluator scratch to it.
+// express their per-occurrence transform as a rebuildFn closure that
+// reuses its builder and evaluator scratch across occurrences.
 
 import (
 	"fmt"
@@ -31,31 +29,30 @@ func (ar *ARel) SelectConst(attr string, op CmpOp, c values.Value) error {
 	if err != nil {
 		return err
 	}
-	return ar.rebuildAt(ri, path, func(st *frep.Store) rebuildFn {
-		var b frep.UnionBuilder
-		var bits []uint64
-		kop := kernel.Op(op) // CmpOp and kernel.Op share their numbering
-		return func(id frep.NodeID) (frep.NodeID, error) {
-			// Vectorised path: compare the whole value run through a
-			// kernel and compact by bitmap runs; falls through to the
-			// scalar loop for mixed-kind or non-numeric runs.
-			if out, ok := st.SelectConstKernel(id, kop, c, &bits); ok {
-				return out, nil
-			}
-			arity := st.Arity(id)
-			b.Reset(st, arity)
-			for i, v := range st.Vals(id) {
-				if !op.Holds(v, c) {
-					continue
-				}
-				if arity > 0 {
-					b.Append(v, st.KidRow(id, i))
-				} else {
-					b.Append(v, nil)
-				}
-			}
-			return b.Finish(), nil
+	st := ar.Store
+	var b frep.UnionBuilder
+	var bits []uint64
+	kop := kernel.Op(op) // CmpOp and kernel.Op share their numbering
+	return ar.rebuildAt(ri, path, func(id frep.NodeID) (frep.NodeID, error) {
+		// Vectorised path: compare the whole value run through a
+		// kernel and compact by bitmap runs; falls through to the
+		// scalar loop for mixed-kind or non-numeric runs.
+		if out, ok := st.SelectConstKernel(id, kop, c, &bits); ok {
+			return out, nil
 		}
+		arity := st.Arity(id)
+		b.Reset(st, arity)
+		for i, v := range st.Vals(id) {
+			if !op.Holds(v, c) {
+				continue
+			}
+			if arity > 0 {
+				b.Append(v, st.KidRow(id, i))
+			} else {
+				b.Append(v, nil)
+			}
+		}
+		return b.Finish(), nil
 	})
 }
 
@@ -102,34 +99,33 @@ func (ar *ARel) Merge(attrA, attrB string) error {
 		if err != nil {
 			return err
 		}
-		err = ar.rebuildAt(ri, path, func(st *frep.Store) rebuildFn {
-			var ib, b frep.UnionBuilder
-			var scratch []frep.NodeID
-			var pairs [][2]int32
-			return func(id frep.NodeID) (frep.NodeID, error) {
-				arity := st.Arity(id) - 1
-				b.Reset(st, arity)
-				for i, v := range st.Vals(id) {
-					row := st.KidRow(id, i)
-					merged := intersectUnionsIn(st, &ib, &pairs, row[plan.XIdx], row[plan.YIdx])
-					if st.Len(merged) == 0 {
-						continue
-					}
-					scratch = scratch[:0]
-					for k, u := range row {
-						switch k {
-						case plan.XIdx:
-							scratch = append(scratch, merged)
-						case plan.YIdx:
-							// dropped
-						default:
-							scratch = append(scratch, u)
-						}
-					}
-					b.Append(v, scratch)
+		st := ar.Store
+		var ib, b frep.UnionBuilder
+		var scratch []frep.NodeID
+		var pairs [][2]int32
+		err = ar.rebuildAt(ri, path, func(id frep.NodeID) (frep.NodeID, error) {
+			arity := st.Arity(id) - 1
+			b.Reset(st, arity)
+			for i, v := range st.Vals(id) {
+				row := st.KidRow(id, i)
+				merged := intersectUnionsIn(st, &ib, &pairs, row[plan.XIdx], row[plan.YIdx])
+				if st.Len(merged) == 0 {
+					continue
 				}
-				return b.Finish(), nil
+				scratch = scratch[:0]
+				for k, u := range row {
+					switch k {
+					case plan.XIdx:
+						scratch = append(scratch, merged)
+					case plan.YIdx:
+						// dropped
+					default:
+						scratch = append(scratch, u)
+					}
+				}
+				b.Append(v, scratch)
 			}
+			return b.Finish(), nil
 		})
 		if err != nil {
 			return err
@@ -226,25 +222,24 @@ func (ar *ARel) Absorb(attrAnc, attrDesc string) error {
 	if !dLeaf {
 		dn = len(d.Children)
 	}
-	err = ar.rebuildAt(ri, path, func(st *frep.Store) rebuildFn {
-		var b frep.UnionBuilder
-		return func(ua frep.NodeID) (frep.NodeID, error) {
-			// The row width changes only at the descendant's parent: it loses
-			// the descendant and gains its hoisted children.
-			newArity := st.Arity(ua)
-			if len(plan.Path) == 1 {
-				newArity += dn - 1
-			}
-			b.Reset(st, newArity)
-			for i, v := range st.Vals(ua) {
-				row, ok := absorbRowIn(st, st.KidRow(ua, i), plan.Path, v, dLeaf, dn)
-				if !ok {
-					continue
-				}
-				b.Append(v, row)
-			}
-			return b.Finish(), nil
+	st := ar.Store
+	var b frep.UnionBuilder
+	err = ar.rebuildAt(ri, path, func(ua frep.NodeID) (frep.NodeID, error) {
+		// The row width changes only at the descendant's parent: it loses
+		// the descendant and gains its hoisted children.
+		newArity := st.Arity(ua)
+		if len(plan.Path) == 1 {
+			newArity += dn - 1
 		}
+		b.Reset(st, newArity)
+		for i, v := range st.Vals(ua) {
+			row, ok := absorbRowIn(st, st.KidRow(ua, i), plan.Path, v, dLeaf, dn)
+			if !ok {
+				continue
+			}
+			b.Append(v, row)
+		}
+		return b.Finish(), nil
 	})
 	if err != nil {
 		return err
@@ -330,30 +325,29 @@ func (ar *ARel) RemoveLeaf(attr string) error {
 		if err != nil {
 			return err
 		}
-		err = ar.rebuildAt(ri, path, func(st *frep.Store) rebuildFn {
-			var b frep.UnionBuilder
-			var scratch []frep.NodeID
-			return func(id frep.NodeID) (frep.NodeID, error) {
-				if st.Len(id) == 0 {
-					return frep.EmptyNode, nil
-				}
-				if frep.EnableKernels {
-					// Every value survives; only the kid rows narrow. Copy
-					// the slab windows wholesale instead of building per
-					// value.
-					return st.RemoveKidColumn(id, plan.Idx), nil
-				}
-				arity := st.Arity(id)
-				b.Reset(st, arity-1)
-				for i, v := range st.Vals(id) {
-					row := st.KidRow(id, i)
-					scratch = scratch[:0]
-					scratch = append(scratch, row[:plan.Idx]...)
-					scratch = append(scratch, row[plan.Idx+1:]...)
-					b.Append(v, scratch)
-				}
-				return b.Finish(), nil
+		st := ar.Store
+		var b frep.UnionBuilder
+		var scratch []frep.NodeID
+		err = ar.rebuildAt(ri, path, func(id frep.NodeID) (frep.NodeID, error) {
+			if st.Len(id) == 0 {
+				return frep.EmptyNode, nil
 			}
+			if frep.EnableKernels {
+				// Every value survives; only the kid rows narrow. Copy
+				// the slab windows wholesale instead of building per
+				// value.
+				return st.RemoveKidColumn(id, plan.Idx), nil
+			}
+			arity := st.Arity(id)
+			b.Reset(st, arity-1)
+			for i, v := range st.Vals(id) {
+				row := st.KidRow(id, i)
+				scratch = scratch[:0]
+				scratch = append(scratch, row[:plan.Idx]...)
+				scratch = append(scratch, row[plan.Idx+1:]...)
+				b.Append(v, scratch)
+			}
+			return b.Finish(), nil
 		})
 		if err != nil {
 			return err
@@ -402,9 +396,10 @@ func (ar *ARel) GammaNode(u *ftree.Node, fields []ftree.AggField) error {
 	if err != nil {
 		return err
 	}
-	// Compile once up front so composition errors (Proposition 2)
-	// surface even when the occurrence loop never runs.
-	if _, err := frep.NewEvaluator(u, fields); err != nil {
+	// Compile up front so composition errors (Proposition 2) surface
+	// even when the occurrence loop never runs.
+	ev, err := frep.NewEvaluator(u, fields)
+	if err != nil {
 		return err
 	}
 	ri, path, err := ar.pathFromRoot(u)
@@ -412,45 +407,23 @@ func (ar *ARel) GammaNode(u *ftree.Node, fields []ftree.AggField) error {
 		return err
 	}
 	wasEmpty := ar.IsEmpty()
-	if len(path) == 0 && ar.Par > 1 {
-		// γ at a root: a single occurrence covering the whole tree, so
-		// the parallelism lives inside the evaluation — segments of the
-		// root union evaluate independently and merge associatively.
-		out := make([]values.Value, len(fields))
-		if err := frep.ParallelEvalStore(u, fields, ar.Store, ar.Roots[ri], ar.Par, out); err != nil {
-			return err
+	st := ar.Store
+	vals := make([]values.Value, len(fields))
+	var one [1]values.Value
+	err = ar.rebuildAt(ri, path, func(sub frep.NodeID) (frep.NodeID, error) {
+		if err := ev.EvalStoreInto(st, sub, vals); err != nil {
+			return frep.EmptyNode, err
 		}
-		var one [1]values.Value
-		if len(out) == 1 {
-			one[0] = out[0]
+		if len(vals) == 1 {
+			one[0] = vals[0]
 		} else {
-			one[0] = values.NewVec(out)
+			// NewVec retains its argument; copy out of the reused scratch.
+			one[0] = values.NewVec(append([]values.Value{}, vals...))
 		}
-		ar.Roots[ri] = ar.Store.AddLeaf(one[:])
-	} else {
-		err = ar.rebuildAt(ri, path, func(st *frep.Store) rebuildFn {
-			ev, evErr := frep.NewEvaluator(u, fields)
-			vals := make([]values.Value, len(fields))
-			var one [1]values.Value
-			return func(sub frep.NodeID) (frep.NodeID, error) {
-				if evErr != nil {
-					return frep.EmptyNode, evErr
-				}
-				if err := ev.EvalStoreInto(st, sub, vals); err != nil {
-					return frep.EmptyNode, err
-				}
-				if len(vals) == 1 {
-					one[0] = vals[0]
-				} else {
-					// NewVec retains its argument; copy out of the reused scratch.
-					one[0] = values.NewVec(append([]values.Value{}, vals...))
-				}
-				return st.AddLeaf(one[:]), nil
-			}
-		})
-		if err != nil {
-			return err
-		}
+		return st.AddLeaf(one[:]), nil
+	})
+	if err != nil {
+		return err
 	}
 	ar.Tree.ApplyAgg(plan)
 	if wasEmpty {
@@ -477,24 +450,23 @@ func (ar *ARel) ComputeScalar(attr, newName string, fn func(values.Value) values
 	if err != nil {
 		return err
 	}
-	err = ar.rebuildAt(ri, path, func(st *frep.Store) rebuildFn {
-		var mapped []values.Value
-		var b frep.UnionBuilder
-		return func(id frep.NodeID) (frep.NodeID, error) {
-			mapped = mapped[:0]
-			for _, v := range st.Vals(id) {
-				mapped = append(mapped, fn(v))
-			}
-			sort.Slice(mapped, func(a, c int) bool { return values.Less(mapped[a], mapped[c]) })
-			b.Reset(st, 0)
-			for k, v := range mapped {
-				if k > 0 && values.Compare(mapped[k-1], v) == 0 {
-					continue
-				}
-				b.Append(v, nil)
-			}
-			return b.Finish(), nil
+	st := ar.Store
+	var mapped []values.Value
+	var b frep.UnionBuilder
+	err = ar.rebuildAt(ri, path, func(id frep.NodeID) (frep.NodeID, error) {
+		mapped = mapped[:0]
+		for _, v := range st.Vals(id) {
+			mapped = append(mapped, fn(v))
 		}
+		sort.Slice(mapped, func(a, c int) bool { return values.Less(mapped[a], mapped[c]) })
+		b.Reset(st, 0)
+		for k, v := range mapped {
+			if k > 0 && values.Compare(mapped[k-1], v) == 0 {
+				continue
+			}
+			b.Append(v, nil)
+		}
+		return b.Finish(), nil
 	})
 	if err != nil {
 		return err

@@ -42,10 +42,8 @@ func (ar *ARel) SwapNode(b *ftree.Node) error {
 			aOther = append(aOther, i)
 		}
 	}
-	err = ar.rebuildAt(ri, path, func(st *frep.Store) rebuildFn {
-		return func(ua frep.NodeID) (frep.NodeID, error) {
-			return swapUnionIn(st, ua, plan, aOther), nil
-		}
+	err = ar.rebuildAt(ri, path, func(ua frep.NodeID) (frep.NodeID, error) {
+		return swapUnionIn(ar.Store, ua, plan, aOther), nil
 	})
 	if err != nil {
 		return err

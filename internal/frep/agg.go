@@ -402,22 +402,11 @@ func (ev *Evaluator) EvalStore(s *Store, id NodeID) ([]values.Value, error) {
 // EvalStoreInto is EvalStore writing into a caller-provided slice of
 // length len(fields), avoiding the output allocation on hot paths.
 func (ev *Evaluator) EvalStoreInto(s *Store, id NodeID, out []values.Value) error {
-	return ev.EvalStoreRangeInto(s, id, 0, s.Len(id), out)
-}
-
-// EvalStoreRangeInto is EvalStoreInto restricted to the value window
-// [lo, hi) of the root union id: one segment of a parallel evaluation.
-// The fields of the paper's aggregation algebra are associative, so
-// partial results over contiguous segments combine with MergePartials
-// into exactly the full-union result (bit-identically for integer data;
-// float sums may differ from the serial fold in the last bits of
-// rounding).
-func (ev *Evaluator) EvalStoreRangeInto(s *Store, id NodeID, lo, hi int, out []values.Value) error {
 	if ev.rootRes.vals == nil {
 		ev.rootRes.vals = make([]values.Value, len(ev.fields))
 	}
 	res := ev.rootRes
-	ev.evalStore(ev.root, s, id, lo, hi, 0, &res)
+	ev.evalStore(ev.root, s, id, 0, &res)
 	for i, fl := range ev.fields {
 		if fl.Fn == ftree.Count {
 			if res.count < 0 {
@@ -436,12 +425,10 @@ func (ev *Evaluator) EvalStoreRangeInto(s *Store, id NodeID, lo, hi int, out []v
 
 // evalStore mirrors eval over the arena representation: same recursion,
 // same per-depth scratch frames, but values and kid rows come from the
-// store slabs instead of per-union heap objects. The [lo, hi) window
-// restricts the top-level value loop only; recursive calls always cover
-// their whole union.
-func (ev *Evaluator) evalStore(n *ftree.Node, s *Store, id NodeID, lo, hi int, depth int, res *result) {
+// store slabs instead of per-union heap objects.
+func (ev *Evaluator) evalStore(n *ftree.Node, s *Store, id NodeID, depth int, res *result) {
 	p := ev.plans[n]
-	if p.leafKernel && EnableKernels && ev.evalLeafStoreKernel(p, s, id, lo, hi, res) {
+	if p.leafKernel && EnableKernels && ev.evalLeafStoreKernel(p, s, id, res) {
 		return
 	}
 	res.count = 0
@@ -454,14 +441,14 @@ func (ev *Evaluator) evalStore(n *ftree.Node, s *Store, id NodeID, lo, hi int, d
 		kidRes = ev.frame(depth, nc).kids[:nc]
 	}
 	uVals := s.Vals(id)
-	for i := lo; i < hi; i++ {
+	for i := range uVals {
 		var row []NodeID
 		if nc > 0 {
 			row = s.KidRow(id, i)
 		}
 		mult := int64(1)
 		for j := 0; j < nc; j++ {
-			ev.evalStore(n.Children[j], s, row[j], 0, s.Len(row[j]), depth+1, &kidRes[j])
+			ev.evalStore(n.Children[j], s, row[j], depth+1, &kidRes[j])
 			if kidRes[j].count < 0 || mult < 0 {
 				mult = -1
 			} else {
@@ -546,10 +533,9 @@ func (ev *Evaluator) evalStore(n *ftree.Node, s *Store, id NodeID, lo, hi int, d
 }
 
 // evalLeafStoreKernel evaluates an atomic leaf node's aggregates through
-// the vectorised kernels when the value window [lo, hi) is a
-// kind-homogeneous Int or Float run of the column index. It reports
-// false — leaving res untouched beyond its reset — when the window does
-// not qualify (unindexed, mixed-kind, or a kind the kernels skip: Bool
+// the vectorised kernels when the union's values are a kind-homogeneous
+// Int or Float run of the column index. It reports false — leaving res
+// untouched beyond its reset — when the union does not qualify (unindexed, mixed-kind, or a kind the kernels skip: Bool
 // sums promote to Float through the scalar AsFloat path, and
 // String/Vec/Null never carry numeric aggregates), in which case the
 // caller runs the scalar loop.
@@ -563,17 +549,17 @@ func (ev *Evaluator) evalStore(n *ftree.Node, s *Store, id NodeID, lo, hi int, d
 // the first element reproduces it bit for bit. Min/Max kernels move only
 // on strict </>, matching values.Min/Max keeping the earlier operand on
 // Compare ties, and the winning stored value is emitted verbatim.
-func (ev *Evaluator) evalLeafStoreKernel(p *nodePlan, s *Store, id NodeID, lo, hi int, res *result) bool {
+func (ev *Evaluator) evalLeafStoreKernel(p *nodePlan, s *Store, id NodeID, res *result) bool {
 	h := s.hdr(id)
-	n := hi - lo
-	if n <= 0 {
+	n := int(h.nVals)
+	if n == 0 {
 		res.count = 0
 		for i := range res.vals {
 			res.vals[i] = values.Value{}
 		}
 		return true
 	}
-	k, pay, ok := s.colRun(h.valOff+uint32(lo), uint32(n))
+	k, pay, ok := s.colRun(h.valOff, h.nVals)
 	if !ok || (k != values.Int && k != values.Float) {
 		if KernelStatsEnabled {
 			kstats.aggFallback.Add(1)
@@ -608,7 +594,7 @@ func (ev *Evaluator) evalLeafStoreKernel(p *nodePlan, s *Store, id NodeID, lo, h
 			if ev.fields[fi].Fn == ftree.Max {
 				idx = maxIdx
 			}
-			res.vals[fi] = s.valSlice(h.valOff, h.nVals)[lo+idx]
+			res.vals[fi] = s.valSlice(h.valOff, h.nVals)[idx]
 		}
 	}
 	if KernelStatsEnabled {

@@ -34,32 +34,8 @@ type StoreEnumerator struct {
 	started bool
 	done    bool
 
-	// Segment window on slot 0, for parallel enumeration; see Restrict.
-	segLo, segHi int
-	restricted   bool
-
 	// Lazily built ranked direct-access state; see seek.go.
 	seekst *seekState
-}
-
-// Restrict confines the outermost enumeration loop (slot 0) to value
-// positions [lo, hi) of its root union — the basis of segmented
-// parallel enumeration: the streams of consecutive windows, drained in
-// slot-0 iteration order, concatenate to exactly the unrestricted
-// stream. Restrict must be called before the first Next or Skip.
-func (e *StoreEnumerator) Restrict(lo, hi int) {
-	e.segLo, e.segHi, e.restricted = lo, hi, true
-}
-
-// SegmentUniverse returns the number of values in the union driving the
-// outermost enumeration loop — the space that Restrict windows
-// partition — or 0 when the enumeration has no loops (or, defensively,
-// when slot 0 is not a root loop).
-func (e *StoreEnumerator) SegmentUniverse() int {
-	if len(e.slots) == 0 || e.slots[0].parentSlot >= 0 {
-		return 0
-	}
-	return e.store.Len(e.roots[e.slots[0].rootIdx])
 }
 
 // NewStoreEnumerator creates a constant-delay enumerator over the arena
@@ -126,18 +102,14 @@ func (e *StoreEnumerator) advance() bool {
 	}
 	for i := len(e.slots) - 1; i >= 0; i-- {
 		s := &e.slots[i]
-		lo, hi := 0, len(s.vals)
-		if i == 0 && e.restricted {
-			lo, hi = e.clampWindow(hi)
-		}
 		if s.desc {
-			if s.pos > lo {
+			if s.pos > 0 {
 				s.pos--
 			} else {
 				continue
 			}
 		} else {
-			if s.pos+1 < hi {
+			if s.pos+1 < len(s.vals) {
 				s.pos++
 			} else {
 				continue
@@ -168,31 +140,15 @@ func (e *StoreEnumerator) resetSlot(i int) bool {
 		s.id = e.store.Kid(p.id, p.pos, s.childIdx)
 	}
 	s.vals = e.store.Vals(s.id)
-	lo, hi := 0, len(s.vals)
-	if i == 0 && e.restricted {
-		lo, hi = e.clampWindow(hi)
-	}
-	if lo >= hi {
+	if len(s.vals) == 0 {
 		return false
 	}
 	if s.desc {
-		s.pos = hi - 1
+		s.pos = len(s.vals) - 1
 	} else {
-		s.pos = lo
+		s.pos = 0
 	}
 	return true
-}
-
-// clampWindow intersects the Restrict window with [0, n).
-func (e *StoreEnumerator) clampWindow(n int) (int, int) {
-	lo, hi := e.segLo, e.segHi
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
 }
 
 func (e *StoreEnumerator) fill() {
@@ -221,24 +177,7 @@ type StoreGroupEnumerator struct {
 	nGroup  int
 	parts   []storeAggPart
 	carrier []int
-	parEval int // see SetParallelEval
 }
-
-// Restrict confines the outermost group loop to positions [lo, hi) of
-// its root union; see StoreEnumerator.Restrict.
-func (g *StoreGroupEnumerator) Restrict(lo, hi int) { g.inner.Restrict(lo, hi) }
-
-// SegmentUniverse returns the size of the union driving the outermost
-// group loop, or 0 for a global (loop-free) aggregate; see
-// StoreEnumerator.SegmentUniverse.
-func (g *StoreGroupEnumerator) SegmentUniverse() int { return g.inner.SegmentUniverse() }
-
-// SetParallelEval enables segment-parallel aggregate evaluation of the
-// enumerator's parts with up to par workers. It only takes effect for
-// global aggregates (no group loops), where each part is evaluated
-// exactly once over a whole root subtree — per-group evaluations stay
-// serial, their parallelism comes from windowing the group loop itself.
-func (g *StoreGroupEnumerator) SetParallelEval(par int) { g.parEval = par }
 
 // storeAggPart is one maximal non-group subtree to aggregate, with a
 // compiled evaluator and a reused output buffer.
@@ -331,11 +270,7 @@ func (g *StoreGroupEnumerator) evalParts() error {
 			s := &g.inner.slots[p.parentSlot]
 			id = st.Kid(s.id, s.pos, p.childIdx)
 		}
-		if g.parEval > 1 && len(g.inner.slots) == 0 {
-			if err := ParallelEvalStore(p.node, p.evFields, st, id, g.parEval, p.vals); err != nil {
-				return err
-			}
-		} else if err := p.ev.EvalStoreInto(st, id, p.vals); err != nil {
+		if err := p.ev.EvalStoreInto(st, id, p.vals); err != nil {
 			return err
 		}
 		if p.countIdx >= 0 {

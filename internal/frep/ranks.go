@@ -9,7 +9,7 @@ package frep
 // total — and any contiguous value window's total — is one subtraction,
 // and "which value contains the q-th tuple" is a binary search. This is
 // the precomputation behind ranked direct access (Seek), O(1) COUNT(*),
-// and weighted parallel splits.
+// and weighted shard splits.
 //
 // The index is a prefix property: a store built and ranked once may keep
 // appending nodes (operators derive new representations by appending);
@@ -78,63 +78,55 @@ func rankBefore(ranks []uint64, a uint64) uint64 {
 	return ranks[a-1]
 }
 
-// windowTuples returns the number of tuples represented by values
-// [lo, hi) of union id, and whether the window is covered by the ranked
-// index.
-func (s *Store) windowTuples(id NodeID, lo, hi int) (uint64, bool) {
+// nodeTuples returns the number of tuples represented by union id, and
+// whether the node is covered by the ranked index.
+func (s *Store) nodeTuples(id NodeID) (uint64, bool) {
 	if !s.NodeRanked(id) {
 		return 0, false
 	}
-	if lo < 0 {
-		lo = 0
-	}
 	h := s.hdr(id)
-	if hi > int(h.nVals) {
-		hi = int(h.nVals)
-	}
-	if lo >= hi {
+	if h.nVals == 0 {
 		return 0, true
 	}
 	ranks := s.rankOwner().ranks
 	base := uint64(h.valOff)
-	return ranks[base+uint64(hi)-1] - rankBefore(ranks, base+uint64(lo)), true
+	return ranks[base+uint64(h.nVals)-1] - rankBefore(ranks, base), true
 }
 
 // RankTotal returns the total number of flat tuples represented by the
 // subtree of union id, when the ranked index covers it. The empty node
 // reports 0.
 func (s *Store) RankTotal(id NodeID) (int64, bool) {
-	t, ok := s.windowTuples(id, 0, s.Len(id))
+	t, ok := s.nodeTuples(id)
 	if !ok {
 		return 0, false
 	}
 	return int64(t), true // totals are capped at 2⁶², so int64 is exact
 }
 
-// rankSeek finds the value position of union id — iterating the window
-// [lo, hi) ascending or descending — that contains the q-th tuple
-// (0-based, in iteration order), returning the position and the number
-// of tuples strictly before it in iteration order. The caller
-// guarantees the node is ranked, lo ≤ hi valid, and q less than the
-// window's tuple count.
-func (s *Store) rankSeek(id NodeID, lo, hi int, q uint64, desc bool) (int, uint64) {
+// rankSeek finds the value position of union id — iterating ascending
+// or descending — that contains the q-th tuple (0-based, in iteration
+// order), returning the position and the number of tuples strictly
+// before it in iteration order. The caller guarantees the node is
+// ranked and q is less than its tuple count.
+func (s *Store) rankSeek(id NodeID, q uint64, desc bool) (int, uint64) {
 	ranks := s.rankOwner().ranks
-	base := uint64(s.hdr(id).valOff)
+	h := s.hdr(id)
+	n := int(h.nVals)
+	base := uint64(h.valOff)
 	pre := func(p int) uint64 { return rankBefore(ranks, base+uint64(p)) }
 	if !desc {
 		// Smallest v with the inclusive sum through v exceeding q; values
 		// of weight 0 are never selected (their inclusive sum equals their
 		// exclusive one).
-		d := sort.Search(hi-lo, func(d int) bool { return pre(lo+d+1)-pre(lo) > q })
-		pos := lo + d
-		return pos, pre(pos) - pre(lo)
+		pos := sort.Search(n, func(v int) bool { return pre(v+1)-pre(0) > q })
+		return pos, pre(pos) - pre(0)
 	}
 	// Descending: the tuples before position p are those of values after
 	// it. Find the smallest p whose suffix sum is ≤ q (suffix sums shrink
 	// as p grows, so the predicate is monotone).
-	d := sort.Search(hi-lo, func(d int) bool { return pre(hi)-pre(lo+d+1) <= q })
-	pos := lo + d
-	return pos, pre(hi) - pre(pos+1)
+	pos := sort.Search(n, func(v int) bool { return pre(n)-pre(v+1) <= q })
+	return pos, pre(n) - pre(pos+1)
 }
 
 // BuildRanks computes the ranked index over the store's current
@@ -203,7 +195,7 @@ func (s *Store) BuildRanks() error {
 // falls back to the arity-uniform Segments.
 func WeightedSegments(s *Store, id NodeID, p int) [][2]int {
 	n := s.Len(id)
-	total, ok := s.windowTuples(id, 0, n)
+	total, ok := s.nodeTuples(id)
 	if !ok || total == 0 || p < 2 || n < 2 {
 		return Segments(n, p)
 	}

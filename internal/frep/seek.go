@@ -90,7 +90,7 @@ func (e *StoreEnumerator) seekInit() *seekState {
 // to the slots actually enumerated below i. Saturating.
 func (e *StoreEnumerator) countSlot(ss *seekState, i int, id NodeID) uint64 {
 	if ss.structOK[i] {
-		if t, ok := e.store.windowTuples(id, 0, e.store.Len(id)); ok {
+		if t, ok := e.store.nodeTuples(id); ok {
 			return t
 		}
 	}
@@ -124,30 +124,6 @@ func (e *StoreEnumerator) valWeight(ss *seekState, i int, id NodeID, v int) uint
 	return w
 }
 
-// slotWindowCount is countSlot restricted to value window [lo, hi) of
-// the driving union (the Restrict window of slot 0).
-func (e *StoreEnumerator) slotWindowCount(ss *seekState, i int, id NodeID, lo, hi int) uint64 {
-	if lo <= 0 && hi >= e.store.Len(id) {
-		return e.countSlot(ss, i, id)
-	}
-	if ss.structOK[i] {
-		if t, ok := e.store.windowTuples(id, lo, hi); ok {
-			return t
-		}
-	}
-	if len(ss.childSlots[i]) == 0 {
-		if hi <= lo {
-			return 0
-		}
-		return uint64(hi - lo)
-	}
-	var total uint64
-	for v := lo; v < hi; v++ {
-		total = satAdd(total, e.valWeight(ss, i, id, v))
-	}
-	return total
-}
-
 // slotUnion resolves the union driving slot i from the current (partial)
 // odometer state; the caller guarantees the slot's parent, if any, is
 // already positioned.
@@ -160,27 +136,21 @@ func (e *StoreEnumerator) slotUnion(i int) NodeID {
 	return e.store.Kid(p.id, p.pos, s.childIdx)
 }
 
-// seekTotal counts the tuples of the whole enumeration stream
-// (respecting a Restrict window), saturating.
+// seekTotal counts the tuples of the whole enumeration stream,
+// saturating.
 func (e *StoreEnumerator) seekTotal(ss *seekState) uint64 {
 	total := uint64(1)
 	for i := range e.slots {
 		if e.slots[i].parentSlot >= 0 {
 			continue // counted inside its root slot's subtree
 		}
-		id := e.roots[e.slots[i].rootIdx]
-		lo, hi := 0, e.store.Len(id)
-		if i == 0 && e.restricted {
-			lo, hi = e.clampWindow(hi)
-		}
-		total = satMul(total, e.slotWindowCount(ss, i, id, lo, hi))
+		total = satMul(total, e.countSlot(ss, i, e.roots[e.slots[i].rootIdx]))
 	}
 	return total
 }
 
 // Total returns the number of tuples the enumeration yields from a
-// fresh start (respecting a Restrict window), without advancing the
-// enumerator. Counts beyond MaxInt64 saturate.
+// fresh start, without advancing the enumerator. Counts beyond MaxInt64 saturate.
 func (e *StoreEnumerator) Total() int64 {
 	if len(e.slots) == 0 {
 		return 1 // the single empty tuple
@@ -243,10 +213,6 @@ func (e *StoreEnumerator) Seek(k int) int {
 		s := &e.slots[i]
 		s.id = e.slotUnion(i)
 		s.vals = e.store.Vals(s.id)
-		lo, hi := 0, len(s.vals)
-		if i == 0 && e.restricted {
-			lo, hi = e.clampWindow(hi)
-		}
 		// tail: product of the counts of the other open slots — loops at
 		// deeper indices whose driving union is already fixed. remaining
 		// < slotCount(i) × tail, so q = remaining/tail indexes into slot
@@ -263,7 +229,7 @@ func (e *StoreEnumerator) Seek(k int) int {
 		if tail > 0 {
 			q = remaining / tail
 		}
-		pos, before := e.seekSlotValue(ss, i, s.id, lo, hi, q, s.desc)
+		pos, before := e.seekSlotValue(ss, i, s.id, q, s.desc)
 		s.pos = pos
 		if consumed := satMul(before, tail); consumed <= remaining {
 			remaining -= consumed
@@ -275,59 +241,33 @@ func (e *StoreEnumerator) Seek(k int) int {
 	return k
 }
 
-// seekSlotValue finds the value position of slot i (union id, window
-// [lo, hi), in iteration order) containing local offset q, returning
-// the position and the weight preceding it in iteration order.
-func (e *StoreEnumerator) seekSlotValue(ss *seekState, i int, id NodeID, lo, hi int, q uint64, desc bool) (int, uint64) {
+// seekSlotValue finds the value position of slot i (union id, in
+// iteration order) containing local offset q, returning the position
+// and the weight preceding it in iteration order.
+func (e *StoreEnumerator) seekSlotValue(ss *seekState, i int, id NodeID, q uint64, desc bool) (int, uint64) {
 	if ss.structOK[i] && e.store.NodeRanked(id) {
-		return e.store.rankSeek(id, lo, hi, q, desc)
+		return e.store.rankSeek(id, q, desc)
 	}
+	n := e.store.Len(id)
 	var cum uint64
 	if desc {
-		for v := hi - 1; v > lo; v-- {
+		for v := n - 1; v > 0; v-- {
 			w := e.valWeight(ss, i, id, v)
 			if satAdd(cum, w) > q {
 				return v, cum
 			}
 			cum = satAdd(cum, w)
 		}
-		return lo, cum
+		return 0, cum
 	}
-	for v := lo; v < hi-1; v++ {
+	for v := 0; v < n-1; v++ {
 		w := e.valWeight(ss, i, id, v)
 		if satAdd(cum, w) > q {
 			return v, cum
 		}
 		cum = satAdd(cum, w)
 	}
-	return hi - 1, cum
-}
-
-// WeightedSegments returns up to p Restrict windows over the outermost
-// loop's value space, balanced by result weight using the ranked index —
-// so a skewed hot value no longer lands p−1 workers with empty windows.
-// It returns nil when the enumerator has no root-driven outer loop, the
-// outer subtree is not fully enumerated, or the root union is unranked;
-// callers then fall back to uniform Segments.
-func (e *StoreEnumerator) WeightedSegments(p int) [][2]int {
-	if len(e.slots) == 0 || e.slots[0].parentSlot >= 0 {
-		return nil
-	}
-	ss := e.seekInit()
-	if !ss.structOK[0] {
-		return nil
-	}
-	root := e.roots[e.slots[0].rootIdx]
-	if !e.store.NodeRanked(root) {
-		return nil
-	}
-	return WeightedSegments(e.store, root, p)
-}
-
-// WeightedSegments returns count-balanced windows over the outermost
-// group loop; see StoreEnumerator.WeightedSegments.
-func (g *StoreGroupEnumerator) WeightedSegments(p int) [][2]int {
-	return g.inner.WeightedSegments(p)
+	return n - 1, cum
 }
 
 // Total returns the number of groups the grouped enumeration yields

@@ -4,9 +4,9 @@ package frep
 // forests of varying depth, fanout, skew and emptiness, Seek(k) must be
 // observationally identical to Skip(k) on a fresh enumerator — same
 // return value, same remaining stream — for tuple and group
-// enumerators, ascending and descending, ranked and unranked stores,
-// with and without Restrict windows. Skip is pinned by the existing
-// suites, so agreement with Skip pins Seek.
+// enumerators, ascending and descending, ranked and unranked stores.
+// Skip is pinned by the existing suites, so agreement with Skip pins
+// Seek.
 
 import (
 	"fmt"
@@ -163,11 +163,6 @@ func TestSeekMatchesSkipRandom(t *testing.T) {
 				[]OrderSpec{{Attr: rootAttr, Desc: true}})
 		}
 
-		// Restrict window for this iteration (applied ~1/3 of the time).
-		restrict := rng.Intn(3) == 0
-		segChosen := false
-		var segLo, segHi int
-
 		// Phase 0 checks the memoized fallback (no ranks); phase 1 builds
 		// the index and checks the ranked path.
 		for phase := 0; phase < 2; phase++ {
@@ -182,23 +177,13 @@ func TestSeekMatchesSkipRandom(t *testing.T) {
 					if err != nil {
 						t.Fatalf("iter %d: enumerator: %v", iter, err)
 					}
-					if restrict {
-						if n := en.SegmentUniverse(); n > 0 {
-							if !segChosen {
-								segChosen = true
-								segLo = rng.Intn(n + 1)
-								segHi = segLo + rng.Intn(n+1-segLo)
-							}
-							en.Restrict(segLo, segHi)
-						}
-					}
 					return en
 				}
 				full := drainTuples(mk())
 				if got := mk().Total(); got != int64(len(full)) {
 					t.Fatalf("iter %d phase %d order %d: Total = %d, want %d", iter, phase, oi, got, len(full))
 				}
-				if phase == 1 && !restrict {
+				if phase == 1 {
 					if en := mk(); !en.SeekRanked() {
 						t.Fatalf("iter %d order %d: ranked store, but SeekRanked() = false", iter, oi)
 					}

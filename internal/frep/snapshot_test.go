@@ -12,7 +12,8 @@ import (
 )
 
 // snapTestStore builds a small store exercising every value kind, shared
-// children and a ViewOf alias node, returning the store and its root.
+// children and two nodes sharing kid subtrees, returning the store and
+// its root.
 func snapTestStore(t *testing.T) (*Store, NodeID) {
 	t.Helper()
 	s := NewStore()
@@ -31,9 +32,11 @@ func snapTestStore(t *testing.T) (*Store, NodeID) {
 	mid := s.Add([]values.Value{
 		values.NullValue(), values.NewString("k1"), values.NewString("k2"),
 	}, 2, []NodeID{leafA, leafB, leafA, leafC, leafB, leafC})
-	view := s.ViewOf(mid, 1, 3)
+	tail := s.Add([]values.Value{
+		values.NewString("k1"), values.NewString("k2"),
+	}, 2, []NodeID{leafA, leafC, leafB, leafC})
 	root := s.Add([]values.Value{values.NewInt(10), values.NewInt(20)}, 1,
-		[]NodeID{mid, view})
+		[]NodeID{mid, tail})
 	return s, root
 }
 

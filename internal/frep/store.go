@@ -301,13 +301,11 @@ func (s *Store) Snapshot() *Store {
 
 // Overlay returns a store that reads s's current contents in place and
 // appends into private slabs, continuing s's node-id and slab address
-// space. It is the per-worker append arena of parallel execution: any
-// number of overlays may be taken over one base and used concurrently
-// (each from a single goroutine), provided the base is not appended to
-// while they live. Taking an overlay copies nothing; merging its appends
-// back costs AdoptOverlay, which is linear in the overlay's own output
-// only. Overlays must not be Reset, Cloned or pooled; Snapshot and
-// Graft-from are supported (the write path's delta layers rely on both).
+// space. Any number of overlays may be taken over one base and used
+// concurrently (each from a single goroutine), provided the base is not
+// appended to while they live. Taking an overlay copies nothing.
+// Overlays must not be Reset, Cloned or pooled; Snapshot and Graft-from
+// are supported (the write path's delta layers rely on both).
 func (s *Store) Overlay() *Store {
 	if s.base != nil {
 		panic("frep: Overlay of an overlay store")
@@ -318,77 +316,6 @@ func (s *Store) Overlay() *Store {
 		baseVals:  uint32(len(s.vals)),
 		baseKids:  uint32(len(s.kids)),
 	}
-}
-
-// AdoptOverlay appends the overlay's private slabs into s (which must be
-// the overlay's base) and returns a remapping from overlay node ids to
-// their ids in s. Ids below the overlay's base length name s's own nodes
-// and map to themselves. Overlays are adopted one at a time; the base
-// may have grown through earlier adoptions, the remap accounts for the
-// shift. The overlay must not be used after adoption.
-func (s *Store) AdoptOverlay(o *Store) func(NodeID) NodeID {
-	if o.base != s {
-		panic("frep: AdoptOverlay of a foreign overlay")
-	}
-	if len(s.nodes)+len(o.nodes) > math.MaxUint32 ||
-		len(s.vals)+len(o.vals) > math.MaxUint32 ||
-		len(s.kids)+len(o.kids) > math.MaxUint32 {
-		panic("frep: Store slab overflow (2^32 entries)")
-	}
-	nodeBase := uint32(len(s.nodes))
-	valBase := uint32(len(s.vals))
-	kidBase := uint32(len(s.kids))
-	remap := func(id NodeID) NodeID {
-		if uint32(id) < o.baseNodes {
-			return id
-		}
-		return NodeID(uint32(id) - o.baseNodes + nodeBase)
-	}
-	for _, h := range o.nodes {
-		// Headers pointing into the base tier (segment views) keep their
-		// offsets; private-tier offsets shift to the adoption point.
-		if h.valOff >= o.baseVals {
-			h.valOff = h.valOff - o.baseVals + valBase
-		}
-		if h.kidOff >= o.baseKids {
-			h.kidOff = h.kidOff - o.baseKids + kidBase
-		}
-		s.nodes = append(s.nodes, h)
-	}
-	s.vals = append(s.vals, o.vals...)
-	for _, k := range o.kids {
-		s.kids = append(s.kids, remap(k))
-	}
-	return remap
-}
-
-// ViewOf appends a node aliasing the value window [lo, hi) of node id:
-// an O(1) segment view (no value or kid copies) used to hand contiguous
-// root slices to parallel workers. The whole window returns id itself
-// and an empty window returns EmptyNode; neither appends.
-func (s *Store) ViewOf(id NodeID, lo, hi int) NodeID {
-	h := s.hdr(id)
-	if lo < 0 || hi > int(h.nVals) || lo > hi {
-		panic(fmt.Sprintf("frep: ViewOf window [%d,%d) out of range for %d values", lo, hi, h.nVals))
-	}
-	if lo >= hi {
-		return EmptyNode
-	}
-	if lo == 0 && hi == int(h.nVals) {
-		return id
-	}
-	nNodes, _, _ := s.counts()
-	if nNodes >= math.MaxUint32 {
-		panic("frep: Store slab overflow (2^32 entries)")
-	}
-	nid := NodeID(uint32(nNodes))
-	s.nodes = append(s.nodes, nodeHdr{
-		valOff: h.valOff + uint32(lo),
-		kidOff: h.kidOff + uint32(lo)*h.arity,
-		nVals:  uint32(hi - lo),
-		arity:  h.arity,
-	})
-	return nid
 }
 
 // Graft appends the contents of other into s and returns a remapping

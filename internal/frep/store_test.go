@@ -156,6 +156,43 @@ func TestStoreGraft(t *testing.T) {
 	}
 }
 
+// TestOverlayReadsBaseInPlace takes several overlays over one base and
+// appends structure into each that references shared base nodes: every
+// overlay resolves base ids in place, its own appends stay private
+// (sibling overlays hand out the same ids independently), and the base
+// is unchanged.
+func TestOverlayReadsBaseInPlace(t *testing.T) {
+	base := NewStore()
+	shared := base.AddLeaf(ivs(7, 9))
+	baseNodes := base.NodeCount()
+
+	var ovs []*Store
+	var roots []NodeID
+	for w := 0; w < 3; w++ {
+		o := base.Overlay()
+		priv := o.AddLeaf(ivs(int64(100 + w)))
+		roots = append(roots, o.Add(ivs(1, 2), 1, []NodeID{shared, priv}))
+		ovs = append(ovs, o)
+	}
+	for w, o := range ovs {
+		if roots[w] != roots[0] {
+			t.Fatalf("w%d: overlay root id %d, want %d (ids continue the base's space independently)", w, roots[w], roots[0])
+		}
+		if o.Len(roots[w]) != 2 || o.Arity(roots[w]) != 1 {
+			t.Fatalf("w%d: root len/arity = %d/%d, want 2/1", w, o.Len(roots[w]), o.Arity(roots[w]))
+		}
+		if got := o.Kid(roots[w], 0, 0); got != shared || o.Val(got, 1).Int() != 9 {
+			t.Fatalf("w%d: base reference resolves to node %d", w, got)
+		}
+		if got := o.Val(o.Kid(roots[w], 1, 0), 0).Int(); got != int64(100+w) {
+			t.Fatalf("w%d: private leaf value = %d, want %d", w, got, 100+w)
+		}
+	}
+	if base.NodeCount() != baseNodes || base.Len(shared) != 2 {
+		t.Fatal("appending to overlays changed the base store")
+	}
+}
+
 func TestStoreEmptyNode(t *testing.T) {
 	s := NewStore()
 	if got := s.Add(nil, 3, nil); got != EmptyNode {

@@ -241,18 +241,6 @@ func (p *Plan) ExecuteContext(ctx context.Context, fr fops.Rel) error {
 	return nil
 }
 
-// ExecuteParallel is ExecuteContext with an intra-query parallelism
-// hint: when fr is an arena relation its operators may fan their
-// occurrence loops across up to par segment workers (see
-// fops.ARel.Par); par ≤ 1, or a pointer-based relation, executes
-// exactly like ExecuteContext. The results are identical either way.
-func (p *Plan) ExecuteParallel(ctx context.Context, fr fops.Rel, par int) error {
-	if ar, ok := fr.(*fops.ARel); ok {
-		ar.Par = par
-	}
-	return p.ExecuteContext(ctx, fr)
-}
-
 // Simulate applies the plan to a clone of the f-tree, returning the final
 // tree and the summed size-bound cost of all intermediate trees.
 func (p *Plan) Simulate(t *ftree.Forest, cat []ftree.CatalogRelation) (*ftree.Forest, float64, error) {

@@ -85,15 +85,9 @@ type Config struct {
 	// Optional when exactly one database is configured.
 	DefaultDB string
 	// Workers bounds the number of concurrently executing queries;
-	// defaults to GOMAXPROCS.
+	// defaults to GOMAXPROCS. Each query runs serially on its handler
+	// goroutine, so Workers is the server's only concurrency setting.
 	Workers int
-	// Parallelism bounds the intra-query parallelism of each executing
-	// query (segment workers over the factorised representation; see
-	// fdb.Engine.Parallelism): 0 means GOMAXPROCS, 1 disables. On a
-	// loaded server inter-query concurrency (Workers) usually saturates
-	// the cores already; raise this for latency-sensitive workloads
-	// with few concurrent heavy queries.
-	Parallelism int
 	// CacheSize is the per-database plan cache capacity in entries;
 	// defaults to 256.
 	CacheSize int
@@ -226,10 +220,8 @@ func New(cfg Config) (*Server, error) {
 	if cacheSize <= 0 {
 		cacheSize = 256
 	}
-	eng := fdb.NewEngine()
-	eng.Parallelism = cfg.Parallelism
 	s := &Server{
-		eng:       eng,
+		eng:       fdb.NewEngine(),
 		dbs:       make(map[string]*database, total),
 		defaultDB: defaultDB,
 		sem:       make(chan struct{}, workers),
@@ -634,9 +626,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, d *database
 		return
 	}
 	// The cursor is closed before the result on every exit path below
-	// (deferred LIFO), which joins any parallel segment workers and only
-	// then recycles the pooled store — a client abort mid-stream must
-	// never leave workers reading a store that went back to the pool.
+	// (deferred LIFO), and only then is the pooled store recycled.
 	defer res.Close()
 	rows, err := res.Rows(r.Context())
 	if err != nil {
@@ -986,10 +976,6 @@ type DBStats struct {
 type StatsResponse struct {
 	Snapshot
 	Workers int `json:"workers"`
-	// Parallel is the per-query worker accounting: cumulative counts of
-	// queries run with an intra-query parallelism budget and of segment
-	// workers spawned per engine layer.
-	Parallel fdb.ParStats `json:"parallel"`
 	// Offsets reports how OFFSET clauses were applied: by ranked direct
 	// seek over the subtree-count index, or by the linear skip loop.
 	Offsets fdb.OffsetStats `json:"offsets"`
@@ -1008,7 +994,6 @@ func (s *Server) Stats() StatsResponse {
 	out := StatsResponse{
 		Snapshot:      s.met.snapshot(),
 		Workers:       cap(s.sem),
-		Parallel:      fdb.ParallelStats(),
 		Offsets:       fdb.SeekSkipStats(),
 		Execs:         s.execs.Load(),
 		ExecErrors:    s.execErrors.Load(),
